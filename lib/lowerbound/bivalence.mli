@@ -2,16 +2,14 @@
 
     The impossibility proof restricts attention to {e valid steps}: every
     sending node's next step is forced — deliver its in-flight message to
-    the {e smallest} node that has not yet received it, or, once every live
-    neighbor has it, receive the ack. The only non-determinism left is
-    {e which node} steps next (plus crash timing), which makes the execution
-    tree finitely branching and, for terminating algorithms, finite — so
-    valency ("which decision values are still reachable") is computable by
-    memoized exhaustive search.
+    the {e smallest} live node that has not yet received it, or, once every
+    live neighbor has it, receive the ack. The only non-determinism left is
+    {e which node} steps next (plus crash timing), so valency ("which
+    decision values are still reachable") is computable by exhaustive
+    search.
 
-    This module implements that semantics for any algorithm whose state
-    contains no functions (configurations are snapshotted and deduplicated
-    with [Marshal]), and provides the searches behind experiment E7:
+    This module is the paper-facing side of {!Mcheck.Explore}'s
+    [`Valid_step] mode, and provides the searches behind experiment E7:
 
     - classify initial configurations (a {e bivalent} initial configuration
       exists for mixed inputs — the FLP Lemma-2 analogue);
@@ -27,7 +25,7 @@ type verdict =
   | Bivalent  (** both 0 and 1 remain reachable *)
   | Blocked  (** no extension reaches any decision *)
 
-type step =
+type step = Mcheck.Explore.step =
   | Deliver of { sender : int; receiver : int }
   | Ack of int
   | Crash of int
@@ -35,9 +33,8 @@ type step =
 val pp_step : Format.formatter -> step -> unit
 
 type ('s, 'm) t
-(** An explorer instance: algorithm + topology + inputs, with a memo table.
-    Configurations are immutable snapshots; the same instance can serve
-    multiple queries. *)
+(** An explorer instance: algorithm + topology + inputs, with a valency
+    memo shared by every query on it. *)
 
 (** [create algorithm ~topology ~inputs] — [give_n]/[give_diameter] as in
     {!Amac.Engine.run}.
@@ -51,7 +48,8 @@ val create :
   ('s, 'm) t
 
 (** [initial_verdict t] — the valency of the initial configuration under
-    crash-free valid-step extensions. *)
+    crash-free valid-step extensions. Exact also when the valid-step graph
+    has cycles (e.g. a node that re-broadcasts forever). *)
 val initial_verdict : ('s, 'm) t -> verdict
 
 (** Exploration statistics for crash-free valid-step executions. *)
@@ -62,15 +60,16 @@ type stats = {
   total_configs : int;
 }
 
-(** [explore t ~max_depth] — BFS of the crash-free valid-step execution DAG,
-    classifying every configuration. *)
+(** [explore t ~max_depth] — BFS of the crash-free valid-step execution
+    graph, classifying every configuration. *)
 val explore : ('s, 'm) t -> max_depth:int -> stats
 
-(** [find_termination_violation t ~max_crashes ~max_depth] searches (DFS)
-    for an execution with at most [max_crashes] crashes ending in a
-    configuration with no valid steps where some live node is undecided —
-    the way one crash actually kills two-phase consensus. Returns the
-    violating schedule. *)
+(** [find_termination_violation t ~max_crashes ~max_depth] searches
+    {!Mcheck.Explore.explore}'s valid-step DFS, with at most [max_crashes]
+    crashes, for a configuration with no deliver or ack left where some
+    live node is undecided — the way one crash actually kills two-phase
+    consensus. Returns the violating schedule. [max_configs] (default
+    500k) bounds the distinct configurations visited. *)
 val find_termination_violation :
   ('s, 'm) t ->
   max_crashes:int ->
@@ -79,10 +78,10 @@ val find_termination_violation :
   unit ->
   step list option
 
-(** [find_agreement_violation t ~max_crashes ~max_depth] searches for an
-    execution (crashes allowed) reaching a configuration where two nodes
-    decided differently. [None] = no violation found within the depth and
-    [max_configs] visit budget (default 500k distinct configurations). *)
+(** [find_agreement_violation t ~max_crashes ~max_depth] — the same search
+    for a configuration where two nodes decided differently. [None] = none
+    found within the budgets. Both searches stop at the first violation of
+    any kind, so they answer for algorithms that are otherwise safe. *)
 val find_agreement_violation :
   ('s, 'm) t ->
   max_crashes:int ->

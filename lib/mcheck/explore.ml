@@ -17,6 +17,7 @@ type config = {
   stop_at_first_violation : bool;
   keying : [ `Fast | `Marshal ];
   check_collisions : bool;
+  successors : [ `All | `Valid_step ];
 }
 
 let default =
@@ -28,6 +29,7 @@ let default =
     stop_at_first_violation = true;
     keying = `Fast;
     check_collisions = false;
+    successors = `All;
   }
 
 type stats = {
@@ -80,23 +82,22 @@ let independent a b =
   | Ack u, Ack v -> u <> v
   | Crash _, _ | _, Crash _ -> false
 
-(* Fallback keying: digest of the marshalled bytes, as in
-   Lowerbound.Bivalence. The crash budget used so far is part of the key —
-   equal node states with different remaining budgets have different
-   futures. *)
-let key cfg = Digest.string (Marshal.to_string (cfg.nodes, cfg.crashes_used) [])
-
-let marshal_snapshot nodes : ('s, 'm) node_cfg array =
-  Marshal.from_string (Marshal.to_string nodes []) 0
+(* Fallback keying: digest of the marshalled bytes. The crash budget used
+   so far is part of the key — equal node states with different remaining
+   budgets have different futures. *)
+let digest cfg =
+  Digest.string (Marshal.to_string (cfg.nodes, cfg.crashes_used) [])
 
 module F = Amac.Fingerprint
 
-(* Per-run machinery shared by the serial DFS, the parallel frontier
-   explorer and the sampling API. [snapshot] and [fingerprint] come from
-   the algorithm's hooks when present: cloning replaces the Marshal
-   round-trip, and keying replaces digest-of-marshalled-bytes with a
-   63-bit structural fold (config.keying can force the fallback). *)
-type ('s, 'm) rt = {
+(* One run's transition system, shared by the serial DFS, the parallel
+   frontier explorer, the sampling API and outside walkers (Bivalence).
+   [clone_state] and [fingerprint] come from the algorithm's hooks when
+   present: cloning replaces the Marshal round-trip, and [key] is the
+   63-bit structural fold instead of the leading bits of the marshalled
+   bytes' digest (config.keying can force the fallback). *)
+type ('s, 'm) system = {
+  config : config;
   n : int;
   topology : Amac.Topology.t;
   ctxs : Amac.Algorithm.ctx array;
@@ -104,9 +105,11 @@ type ('s, 'm) rt = {
   input_values : int list;
   clone_state : 's -> 's;
   fingerprint : (('s, 'm) cfg -> int) option;
+  key : ('s, 'm) cfg -> int;
 }
 
-let make_rt ~give_n ~give_diameter algorithm ~topology ~inputs =
+let system ?(give_n = true) ?(give_diameter = false) config algorithm
+    ~topology ~inputs =
   let n = Amac.Topology.size topology in
   if Array.length inputs <> n then
     invalid_arg "Explore.explore: inputs length mismatches topology";
@@ -158,7 +161,13 @@ let make_rt ~give_n ~give_diameter algorithm ~topology ~inputs =
     | None ->
         ((fun st -> Marshal.from_string (Marshal.to_string st []) 0), None)
   in
-  { n; topology; ctxs; algorithm; input_values; clone_state; fingerprint }
+  let key =
+    match (fingerprint, config.keying) with
+    | Some fp, `Fast -> fp
+    | _ -> fun cfg -> Int64.to_int (String.get_int64_le (digest cfg) 0) land max_int
+  in
+  { config; n; topology; ctxs; algorithm; input_values; clone_state;
+    fingerprint; key }
 
 (* Apply a node's actions in place (the caller owns a private snapshot).
    Broadcasting while one is in flight discards, as in the engine; a
@@ -225,9 +234,15 @@ let check_safety rt ~record nodes ~path =
         path
   end
 
-let enabled config rt cfg =
+(* Under [`Valid_step] a sender's only delivery is to the head of
+   [undelivered] — its smallest unserved live neighbor, since the list keeps
+   the topology's ascending order and crashes only remove from it. *)
+let enabled rt cfg =
+  let valid_step =
+    match rt.config.successors with `Valid_step -> true | `All -> false
+  in
   let steps = ref [] in
-  if cfg.crashes_used < config.crash_budget then
+  if cfg.crashes_used < rt.config.crash_budget then
     for u = rt.n - 1 downto 0 do
       if not cfg.nodes.(u).crashed then steps := Crash u :: !steps
     done;
@@ -236,6 +251,8 @@ let enabled config rt cfg =
     if (not node.crashed) && node.outgoing <> None then
       match node.undelivered with
       | [] -> steps := Ack s :: !steps
+      | receiver :: _ when valid_step ->
+          steps := Deliver { sender = s; receiver } :: !steps
       | pending ->
           List.iter
             (fun r -> steps := Deliver { sender = s; receiver = r } :: !steps)
@@ -317,8 +334,13 @@ let initial_cfg rt ~record =
   check_safety rt ~record nodes ~path:[];
   { nodes; crashes_used = 0; fps = Array.make (Array.length nodes) (-1) }
 
-let quiescent_check config ~record cfg ~path =
-  if config.check_termination && cfg.crashes_used = 0 then begin
+(* Quiescent means no deliver or ack is left to take: crash steps do not
+   count, since no crash makes a live node decide. *)
+let quiescent_check rt ~record cfg steps ~path =
+  if
+    rt.config.check_termination
+    && List.for_all (function Crash _ -> true | _ -> false) steps
+  then begin
     let undecided = ref [] in
     Array.iteri
       (fun i node ->
@@ -357,50 +379,54 @@ let visit_cell cell sleep =
     if stored = [] then `Fresh else `Revisit
   end
 
-(* seen-set for the serial explorer: cfg -> visit cell, created empty on
-   first sight. Fast keying probes an int-keyed open-addressed table with
-   the structural fingerprint; [check_collisions] cross-checks each
-   fingerprint against the Marshal digest and counts fingerprints claimed
-   by two distinct digests. The fallback keeps the digest-keyed Hashtbl,
-   but pays one probe per revisit ([find_opt] on a mutable cell) instead
-   of the old find-then-replace pair. *)
-let make_seen config rt =
-  match rt.fingerprint with
-  | Some fp when config.keying = `Fast ->
-      let table : step list list ref F.Table.t = F.Table.create 4096 in
-      let digests =
-        if config.check_collisions then Some (Hashtbl.create 4096) else None
-      in
-      let collisions = ref 0 in
-      let lookup cfg =
-        let k = fp cfg in
-        (match digests with
-        | Some tbl -> (
-            let d = key cfg in
-            match Hashtbl.find_opt tbl k with
-            | Some prior -> if prior <> d then incr collisions
-            | None -> Hashtbl.add tbl k d)
-        | None -> ());
-        match F.Table.find table k with
-        | Some cell -> cell
-        | None ->
-            let cell = ref [] in
-            F.Table.set table k cell;
-            cell
-      in
-      (lookup, collisions)
-  | _ ->
-      let seen : (string, step list list ref) Hashtbl.t = Hashtbl.create 4096 in
-      let lookup cfg =
-        let k = key cfg in
-        match Hashtbl.find_opt seen k with
-        | Some cell -> cell
-        | None ->
-            let cell = ref [] in
-            Hashtbl.add seen k cell;
-            cell
-      in
-      (lookup, ref 0)
+(* The seen-set: cfg -> visit cell in int-keyed open-addressed tables.
+   The parallel explorer partitions the key space by its low bits over
+   [shard_count] independently locked tables, so concurrent visits only
+   contend when they land on the same shard; the subsumption check and
+   sleep-set update happen atomically under the shard lock. The serial
+   DFS uses one unlocked shard. [check_collisions] cross-checks each key
+   against the Marshal digest and counts keys claimed by two distinct
+   digests. *)
+let make_seen rt ~shard_count =
+  let mask = shard_count - 1 in
+  let locks =
+    if shard_count > 1 then Some (Array.init shard_count (fun _ -> Mutex.create ()))
+    else None
+  in
+  let collision_counts = Array.make shard_count 0 in
+  let tables = Array.init shard_count (fun _ -> F.Table.create 4096) in
+  let digests =
+    if rt.config.check_collisions then
+      Some (Array.init shard_count (fun _ -> Hashtbl.create 256))
+    else None
+  in
+  let visit cfg sleep =
+    let k = rt.key cfg in
+    let s = k land mask in
+    (match locks with Some l -> Mutex.lock l.(s) | None -> ());
+    (match digests with
+    | Some ds -> (
+        let d = digest cfg in
+        match Hashtbl.find_opt ds.(s) k with
+        | Some prior ->
+            if prior <> d then collision_counts.(s) <- collision_counts.(s) + 1
+        | None -> Hashtbl.add ds.(s) k d)
+    | None -> ());
+    let cell =
+      match F.Table.find tables.(s) k with
+      | Some cell -> cell
+      | None ->
+          let cell = ref [] in
+          F.Table.set tables.(s) k cell;
+          cell
+    in
+    let verdict = visit_cell cell sleep in
+    (match locks with Some l -> Mutex.unlock l.(s) | None -> ());
+    verdict
+  in
+  ( visit,
+    (fun () -> Array.map F.Table.length tables),
+    fun () -> Array.fold_left ( + ) 0 collision_counts )
 
 let record_obs obs stats ~steals ~occupancy =
   match obs with
@@ -422,11 +448,42 @@ let record_obs obs stats ~steals ~occupancy =
             (float_of_int (Array.fold_left max 0 occ))
       | None -> ())
 
+(* One visit's expansion, shared by the serial DFS and the parallel
+   frontier: the quiescence check, the depth cut, then [child] on every
+   enabled step that is not asleep, with the child's depth, sleep set and
+   (reversed) path. *)
+let expand rt ~record ~transitions ~sleep_skips ~truncated cfg ~depth ~sleep
+    ~path child =
+  let steps = enabled rt cfg in
+  quiescent_check rt ~record cfg steps ~path;
+  match steps with
+  | [] -> ()
+  | _ :: _ when depth >= rt.config.max_depth -> truncated := true
+  | _ :: _ ->
+      (* [all] is sleep ∪ executed-so-far, grown by consing — sleep sets
+         are compared as sets, so order is immaterial. *)
+      let rec siblings all = function
+        | [] -> ()
+        | step :: rest ->
+            if mem_step step sleep then begin
+              incr sleep_skips;
+              siblings all rest
+            end
+            else begin
+              let path = step :: path in
+              let next = apply rt ~record ~transitions cfg step ~path in
+              child next ~depth:(depth + 1)
+                ~sleep:(List.filter (independent step) all) ~path;
+              siblings (step :: all) rest
+            end
+      in
+      siblings sleep steps
+
 exception Violation_found
 
 let explore ?(give_n = true) ?(give_diameter = false) ?obs config algorithm
     ~topology ~inputs =
-  let rt = make_rt ~give_n ~give_diameter algorithm ~topology ~inputs in
+  let rt = system ~give_n ~give_diameter config algorithm ~topology ~inputs in
   let states = ref 0 in
   let transitions = ref 0 in
   let dedup_hits = ref 0 in
@@ -439,38 +496,16 @@ let explore ?(give_n = true) ?(give_diameter = false) ?obs config algorithm
       if config.stop_at_first_violation then raise Violation_found
     end
   in
-  let lookup, collisions = make_seen config rt in
+  let visit, _, collisions = make_seen rt ~shard_count:1 in
   let rec dfs cfg ~depth ~sleep ~path =
-    match visit_cell (lookup cfg) sleep with
+    match visit cfg sleep with
     | `Dedup -> incr dedup_hits
     | (`Fresh | `Revisit) as verdict ->
         if verdict = `Fresh then incr states;
         if !states > config.max_states then truncated := true
-        else begin
-          let steps = enabled config rt cfg in
-          match steps with
-          | [] -> quiescent_check config ~record cfg ~path
-          | _ :: _ when depth >= config.max_depth -> truncated := true
-          | _ :: _ ->
-              (* [all] is sleep ∪ executed-so-far, grown by consing — sleep
-                 sets are compared as sets, so order is immaterial. *)
-              let rec siblings all = function
-                | [] -> ()
-                | step :: rest ->
-                    if mem_step step sleep then begin
-                      incr sleep_skips;
-                      siblings all rest
-                    end
-                    else begin
-                      let path = step :: path in
-                      let child = apply rt ~record ~transitions cfg step ~path in
-                      let child_sleep = List.filter (independent step) all in
-                      dfs child ~depth:(depth + 1) ~sleep:child_sleep ~path;
-                      siblings (step :: all) rest
-                    end
-              in
-              siblings sleep steps
-        end
+        else
+          expand rt ~record ~transitions ~sleep_skips ~truncated cfg ~depth
+            ~sleep ~path dfs
   in
   (try
      let initial = initial_cfg rt ~record in
@@ -482,7 +517,7 @@ let explore ?(give_n = true) ?(give_diameter = false) ?obs config algorithm
       transitions = !transitions;
       dedup_hits = !dedup_hits;
       sleep_skips = !sleep_skips;
-      collisions = !collisions;
+      collisions = collisions ();
       violations = List.rev !violations;
       truncated = !truncated;
     }
@@ -493,72 +528,6 @@ let explore ?(give_n = true) ?(give_diameter = false) ?obs config algorithm
 (* ------------------------------------------------------------------ *)
 (* Parallel frontier exploration                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Sharded seen-set: the key space is partitioned by its low bits over
-   [shard_count] independently locked tables, so concurrent visits only
-   contend when they land on the same shard. The subsumption check and
-   sleep-set update happen atomically under the shard lock. *)
-let make_sharded_seen config rt ~shard_count =
-  let mask = shard_count - 1 in
-  let locks = Array.init shard_count (fun _ -> Mutex.create ()) in
-  let collision_counts = Array.make shard_count 0 in
-  match rt.fingerprint with
-  | Some fp when config.keying = `Fast ->
-      let tables = Array.init shard_count (fun _ -> F.Table.create 1024) in
-      let digests =
-        if config.check_collisions then
-          Some (Array.init shard_count (fun _ -> Hashtbl.create 256))
-        else None
-      in
-      let visit cfg sleep =
-        let k = fp cfg in
-        let s = k land mask in
-        Mutex.lock locks.(s);
-        (match digests with
-        | Some ds -> (
-            let d = key cfg in
-            match Hashtbl.find_opt ds.(s) k with
-            | Some prior ->
-                if prior <> d then
-                  collision_counts.(s) <- collision_counts.(s) + 1
-            | None -> Hashtbl.add ds.(s) k d)
-        | None -> ());
-        let cell =
-          match F.Table.find tables.(s) k with
-          | Some cell -> cell
-          | None ->
-              let cell = ref [] in
-              F.Table.set tables.(s) k cell;
-              cell
-        in
-        let verdict = visit_cell cell sleep in
-        Mutex.unlock locks.(s);
-        verdict
-      in
-      ( visit,
-        (fun () -> Array.map F.Table.length tables),
-        fun () -> Array.fold_left ( + ) 0 collision_counts )
-  | _ ->
-      let tables = Array.init shard_count (fun _ -> Hashtbl.create 256) in
-      let visit cfg sleep =
-        let d = key cfg in
-        let s = Hashtbl.hash d land mask in
-        Mutex.lock locks.(s);
-        let cell =
-          match Hashtbl.find_opt tables.(s) d with
-          | Some cell -> cell
-          | None ->
-              let cell = ref [] in
-              Hashtbl.add tables.(s) d cell;
-              cell
-        in
-        let verdict = visit_cell cell sleep in
-        Mutex.unlock locks.(s);
-        verdict
-      in
-      ( visit,
-        (fun () -> Array.map Hashtbl.length tables),
-        fun () -> 0 )
 
 type ('s, 'm) item = {
   it_cfg : ('s, 'm) cfg;
@@ -598,14 +567,14 @@ let explore_par ?(give_n = true) ?(give_diameter = false) ?pool ?(jobs = 1)
             explore ~give_n ~give_diameter ?obs config algorithm ~topology
               ~inputs
           else begin
-            let rt = make_rt ~give_n ~give_diameter algorithm ~topology ~inputs in
+            let rt = system ~give_n ~give_diameter config algorithm ~topology ~inputs in
             let shard_count =
               let want = 4 * Par.size pool in
               let rec pow2 k = if k >= want then k else pow2 (2 * k) in
               pow2 8
             in
             let visit, occupancy, collisions =
-              make_sharded_seen config rt ~shard_count
+              make_seen rt ~shard_count
             in
             let steals_before = (Par.stats pool).Par.steals in
             let states = ref 0 in
@@ -651,40 +620,12 @@ let explore_par ?(give_n = true) ?(give_diameter = false) ?pool ?(jobs = 1)
                   | `Dedup -> incr dedup
                   | (`Fresh | `Revisit) as verdict ->
                       if verdict = `Fresh then incr fresh;
-                      let steps = enabled config rt item.it_cfg in
-                      (match steps with
-                      | [] ->
-                          quiescent_check config ~record item.it_cfg
-                            ~path:item.it_path
-                      | _ :: _ when depth >= config.max_depth -> trunc := true
-                      | _ :: _ ->
-                          let rec siblings all = function
-                            | [] -> ()
-                            | step :: rest ->
-                                if mem_step step item.it_sleep then begin
-                                  incr sleeps;
-                                  siblings all rest
-                                end
-                                else begin
-                                  let path = step :: item.it_path in
-                                  let child =
-                                    apply rt ~record ~transitions item.it_cfg
-                                      step ~path
-                                  in
-                                  let child_sleep =
-                                    List.filter (independent step) all
-                                  in
-                                  children :=
-                                    {
-                                      it_cfg = child;
-                                      it_sleep = child_sleep;
-                                      it_path = path;
-                                    }
-                                    :: !children;
-                                  siblings (step :: all) rest
-                                end
-                          in
-                          siblings item.it_sleep steps))
+                      expand rt ~record ~transitions ~sleep_skips:sleeps
+                        ~truncated:trunc item.it_cfg ~depth ~sleep:item.it_sleep
+                        ~path:item.it_path (fun child ~depth:_ ~sleep ~path ->
+                          children :=
+                            { it_cfg = child; it_sleep = sleep; it_path = path }
+                            :: !children))
                 slice;
               {
                 out_children = !children;
@@ -744,18 +685,36 @@ let explore_par ?(give_n = true) ?(give_diameter = false) ?pool ?(jobs = 1)
           end)
 
 (* ------------------------------------------------------------------ *)
+(* The transition system on its own                                   *)
+(* ------------------------------------------------------------------ *)
+
+type ('s, 'm) state = ('s, 'm) cfg
+
+(* Walkers of the bare system classify states themselves, so the safety
+   checks inside [initial_cfg] and [apply] report to nobody. *)
+let ignore_violation _ _ = ()
+let initial sys = initial_cfg sys ~record:ignore_violation
+
+let apply sys cfg step =
+  apply sys ~record:ignore_violation ~transitions:(ref 0) cfg step ~path:[]
+
+let decides cfg value =
+  Array.exists (fun node -> node.decided = Some value) cfg.nodes
+
+let key sys cfg = sys.key cfg
+
+(* ------------------------------------------------------------------ *)
 (* Reachable-configuration sampling (bench B7, fingerprint tests)      *)
 (* ------------------------------------------------------------------ *)
 
 type ('s, 'm) snapshot_set = {
-  ss_rt : ('s, 'm) rt;
+  ss_rt : ('s, 'm) system;
   ss_cfgs : ('s, 'm) cfg array;
 }
 
 let sample ?(give_n = true) ?(give_diameter = false) config algorithm ~topology
     ~inputs ~max_samples =
-  let rt = make_rt ~give_n ~give_diameter algorithm ~topology ~inputs in
-  let quiet _ _ = () in
+  let rt = system ~give_n ~give_diameter config algorithm ~topology ~inputs in
   let seen = Hashtbl.create 1024 in
   let collected = ref [] in
   let count = ref 0 in
@@ -764,7 +723,7 @@ let sample ?(give_n = true) ?(give_diameter = false) config algorithm ~topology
     (* Keyed on the Marshal digest regardless of hooks: the sample must be
        keying-neutral ground truth for comparing the two key functions. *)
     if !count < max_samples then begin
-      let d = key cfg in
+      let d = digest cfg in
       if not (Hashtbl.mem seen d) then begin
         Hashtbl.add seen d ();
         collected := cfg :: !collected;
@@ -773,23 +732,20 @@ let sample ?(give_n = true) ?(give_diameter = false) config algorithm ~topology
       end
     end
   in
-  let transitions = ref 0 in
-  push (initial_cfg rt ~record:quiet) ~depth:0;
+  push (initial rt) ~depth:0;
   while !count < max_samples && not (Queue.is_empty q) do
     let cfg, depth = Queue.pop q in
     if depth < config.max_depth then
       List.iter
-        (fun step ->
-          push (apply rt ~record:quiet ~transitions cfg step ~path:[])
-            ~depth:(depth + 1))
-        (enabled config rt cfg)
+        (fun step -> push (apply rt cfg step) ~depth:(depth + 1))
+        (enabled rt cfg)
   done;
   { ss_rt = rt; ss_cfgs = Array.of_list (List.rev !collected) }
 
 let sample_size ss = Array.length ss.ss_cfgs
 
 let keys_marshal ss =
-  Array.fold_left (fun acc cfg -> acc lxor Hashtbl.hash (key cfg)) 0 ss.ss_cfgs
+  Array.fold_left (fun acc cfg -> acc lxor Hashtbl.hash (digest cfg)) 0 ss.ss_cfgs
 
 let keys_fast ss =
   match ss.ss_rt.fingerprint with
@@ -805,7 +761,8 @@ let keys_fast ss =
 
 let clones_marshal ss =
   Array.fold_left
-    (fun acc cfg -> acc lxor Array.length (marshal_snapshot cfg.nodes))
+    (fun acc cfg ->
+      acc lxor Array.length (Marshal.from_string (Marshal.to_string cfg.nodes []) 0))
     0 ss.ss_cfgs
 
 let clones_fast ss =
@@ -822,4 +779,64 @@ let clones_fast ss =
 let key_pairs ss =
   match ss.ss_rt.fingerprint with
   | None -> invalid_arg "Explore.key_pairs: algorithm has no fingerprint hooks"
-  | Some fp -> Array.map (fun cfg -> (key cfg, fp cfg)) ss.ss_cfgs
+  | Some fp -> Array.map (fun cfg -> (digest cfg, fp cfg)) ss.ss_cfgs
+
+(* [reachable]'s memo entry per state: -2 until it is visited, its Tarjan
+   index while it is on the stack, -1 once its component is closed, when
+   [reach] is exact. *)
+type entry = { mutable index : int; mutable reach : int }
+
+(* Tarjan's SCC algorithm: the members of a strongly connected component
+   reach the same states, so they share one answer, fixed when the
+   component's root closes it. A state stops expanding once its answer is
+   [full], which is then exact for its whole component. *)
+let reachable sys ~label ~full =
+  let memo = F.Table.create 4096 in
+  let entry cfg =
+    let k = sys.key cfg in
+    match F.Table.find memo k with
+    | Some e -> e
+    | None ->
+        let e = { index = -2; reach = label cfg } in
+        F.Table.set memo k e;
+        e
+  in
+  fun cfg ->
+    let stack = ref [] and next_index = ref 0 in
+    let rec visit cfg e =
+      let index = !next_index in
+      incr next_index;
+      e.index <- index;
+      stack := e :: !stack;
+      let expand low step =
+        if e.reach = full then low
+        else
+          let child = apply sys cfg step in
+          let c = entry child in
+          let low =
+            if c.index = -2 then min low (visit child c)
+            else if c.index >= 0 then min low c.index
+            else low
+          in
+          e.reach <- e.reach lor c.reach;
+          low
+      in
+      let low = List.fold_left expand index (enabled sys cfg) in
+      (* Every member is a DFS-tree descendant of the root, and a parent
+         absorbs each child's answer when the child returns, so the root's
+         answer is already the component's. *)
+      if low = index then begin
+        let rec close = function
+          | c :: rest ->
+              c.index <- -1;
+              c.reach <- e.reach;
+              if c == e then rest else close rest
+          | [] -> assert false
+        in
+        stack := close !stack
+      end;
+      low
+    in
+    let e = entry cfg in
+    if e.index = -2 then ignore (visit cfg e);
+    e.reach

@@ -10,24 +10,29 @@
     checking agreement / validity / irrevocability on every reachable
     configuration (and, optionally, termination at quiescent ones).
 
-    This generalises [Lowerbound.Bivalence]'s valid-step semantics, which
-    pins each sender's next delivery to its smallest unserved neighbor; here
-    {e every} pending delivery (and, under a crash budget, every crash,
-    including mid-broadcast ones) is a branch.
+    By default {e every} pending delivery (and, under a crash budget, every
+    crash, including mid-broadcast ones) is a branch. The [`Valid_step]
+    successor mode restricts each sender to the paper's valid step (Sec
+    3.1): deliver to its smallest unserved live neighbor, and ack once none
+    is left. [Lowerbound.Bivalence] walks that restricted system through
+    the {!system} interface below, and runs its crash searches as this
+    mode of {!explore}.
 
     Tractability comes from two reductions:
-    - {b state deduplication}: configurations are keyed — by a fast
-      structural fingerprint when the algorithm provides
-      {!Amac.Algorithm.hooks} (an int-keyed open-addressed table, no
-      marshalling, no MD5), falling back to the digest of the marshalled
-      bytes otherwise — so converging interleavings are explored once;
+    - {b state deduplication}: configurations are keyed in an int-keyed
+      open-addressed table — by a fast structural fingerprint when the
+      algorithm provides {!Amac.Algorithm.hooks} (no marshalling, no MD5),
+      falling back to 63 bits of the marshalled bytes' digest otherwise —
+      so converging interleavings are explored once;
     - {b sleep sets} (Godefroid-style partial-order reduction): after
       exploring a transition [t] from a configuration, [t] is put to sleep
       in the siblings' subtrees and stays asleep as long as only transitions
       independent of it execute — deliveries to distinct receivers commute,
       so one order of each commuting pair is pruned. A configuration is
       re-explored only when reached with a sleep set no stored visit
-      subsumes, which keeps the reduction sound for state matching.
+      subsumes, which keeps the reduction sound for state matching. It
+      stays sound under [`Valid_step]: a sender's valid step is unchanged
+      by every step independent of it.
 
     Cloning a configuration for a child transition likewise uses the
     algorithm's [clone] hook when present, instead of a Marshal
@@ -45,9 +50,10 @@ type config = {
   max_states : int;  (** distinct-configuration budget *)
   crash_budget : int;  (** crash steps allowed per schedule *)
   check_termination : bool;
-      (** also report quiescent configurations where a live node never
-          decided (meaningful for crash-free runs of terminating
-          algorithms; a crash legitimately blocks e.g. two-phase) *)
+      (** also report quiescent configurations — no deliver or ack left,
+          crash steps aside — where a live node never decided. Under a
+          crash budget this finds the schedules where a crash blocks a
+          live node, which is legitimate for e.g. two-phase. *)
   stop_at_first_violation : bool;
   keying : [ `Fast | `Marshal ];
       (** [`Fast] keys the seen-set on the hooks' structural fingerprint
@@ -55,14 +61,18 @@ type config = {
           pair); [`Marshal] forces the digest-of-marshalled-bytes
           fallback. Algorithms without hooks always use the fallback. *)
   check_collisions : bool;
-      (** debug mode for [`Fast]: additionally compute the Marshal digest
-          per visit and count fingerprints claimed by two distinct
-          digests (reported in [stats.collisions]) *)
+      (** debug mode: additionally compute the Marshal digest per visit
+          and count keys claimed by two distinct digests (reported in
+          [stats.collisions]) *)
+  successors : [ `All | `Valid_step ];
+      (** [`All] branches on every pending delivery; [`Valid_step] only on
+          each sender's delivery to its smallest unserved live neighbor
+          (or its ack), as in the paper's Sec 3.1 *)
 }
 
 (** [{ max_depth = 64; max_states = 2_000_000; crash_budget = 0;
     check_termination = false; stop_at_first_violation = true;
-    keying = `Fast; check_collisions = false }] *)
+    keying = `Fast; check_collisions = false; successors = `All }] *)
 val default : config
 
 type stats = {
@@ -170,3 +180,52 @@ val clones_fast : ('s, 'm) snapshot_set -> int
     fingerprint-equal) and for measuring the collision rate.
     @raise Invalid_argument if the algorithm has no hooks. *)
 val key_pairs : ('s, 'm) snapshot_set -> (string * int) array
+
+(** {1 The transition system}
+
+    The configurations and steps {!explore} walks, for clients that fold
+    over them in their own order ([Lowerbound.Bivalence] computes valency
+    this way). States are immutable: [apply] returns a fresh child. *)
+
+type ('s, 'm) system
+type ('s, 'm) state
+
+(** [system config algorithm ~topology ~inputs] — only [config]'s
+    [successors], [crash_budget] and [keying] matter.
+    @raise Invalid_argument on input/topology size mismatch. *)
+val system :
+  ?give_n:bool ->
+  ?give_diameter:bool ->
+  config ->
+  ('s, 'm) Amac.Algorithm.t ->
+  topology:Amac.Topology.t ->
+  inputs:int array ->
+  ('s, 'm) system
+
+val initial : ('s, 'm) system -> ('s, 'm) state
+
+(** The steps {!explore} would branch on, in its order: deliveries and
+    acks by ascending sender, then crashes. *)
+val enabled : ('s, 'm) system -> ('s, 'm) state -> step list
+
+(** [apply system state step] — [step] must be enabled in [state]. *)
+val apply : ('s, 'm) system -> ('s, 'm) state -> step -> ('s, 'm) state
+
+(** [decides state v] — some node of [state] has decided [v]. *)
+val decides : ('s, 'm) state -> int -> bool
+
+(** The seen-set key: the structural fingerprint under [`Fast] keying
+    with hooks, otherwise 63 bits of the Marshal digest. *)
+val key : ('s, 'm) system -> ('s, 'm) state -> int
+
+(** [reachable system ~label ~full] — a memoised function from a state to
+    the union of [label] over every state reachable from it by {!enabled}
+    steps, itself included. Exact on cyclic graphs: answers are computed
+    per strongly connected component. A state stops expanding once its
+    answer is [full]. *)
+val reachable :
+  ('s, 'm) system ->
+  label:(('s, 'm) state -> int) ->
+  full:int ->
+  ('s, 'm) state ->
+  int

@@ -103,6 +103,40 @@ let test_literal_two_phase_disagrees_under_crash_free_steps () =
   Alcotest.(check bool) "corrected never disagrees (0 crashes)" true
     (B.find_agreement_violation t ~max_crashes:0 ~max_depth:30 () = None)
 
+(* A heartbeat algorithm whose valid-step graph has cycles, on the 2-clique:
+   node 0 re-broadcasts on every ack, forever; node 1 broadcasts once, flips
+   a bit on every heartbeat delivered to it, and decides that bit on its own
+   ack. Until node 1 decides, the scheduler can still slip one more
+   heartbeat in before its ack, so every undecided configuration is
+   bivalent — including the ones first reached while an ancestor is still
+   being classified. *)
+type heartbeat_msg = Heartbeat | Hello
+
+let heartbeat : (int ref, heartbeat_msg) Amac.Algorithm.t =
+  let pacer (ctx : Amac.Algorithm.ctx) = ctx.id = Amac.Node_id.Id 0 in
+  {
+    name = "heartbeat";
+    init =
+      (fun ctx ->
+        (ref ctx.input, [ Broadcast (if pacer ctx then Heartbeat else Hello) ]));
+    on_receive =
+      (fun _ bit -> function Heartbeat -> bit := 1 - !bit; [] | Hello -> []);
+    on_ack =
+      (fun ctx bit -> if pacer ctx then [ Broadcast Heartbeat ] else [ Decide !bit ]);
+    msg_ids = (fun _ -> 0);
+    hooks = None;
+  }
+
+let test_cyclic_valency () =
+  let t =
+    B.create heartbeat ~topology:(Amac.Topology.clique 2) ~inputs:[| 0; 1 |]
+  in
+  let stats = B.explore t ~max_depth:50 in
+  Alcotest.(check int) "sixteen configurations" 16 stats.total_configs;
+  Alcotest.(check int) "every undecided configuration is bivalent" 8
+    (Array.fold_left ( + ) 0 stats.bivalent_by_depth);
+  Alcotest.(check bool) "initial bivalent" true (B.initial_verdict t = B.Bivalent)
+
 let test_pp_step () =
   Alcotest.(check string) "deliver" "deliver(0->2)"
     (Format.asprintf "%a" B.pp_step (B.Deliver { sender = 0; receiver = 2 }));
@@ -140,6 +174,7 @@ let () =
             test_bivalence_dies_without_crashes;
           Alcotest.test_case "lemma 3.1 witnesses" `Quick
             test_lemma_3_1_witness;
+          Alcotest.test_case "cyclic valency" `Quick test_cyclic_valency;
         ] );
       ( "crashes",
         [

@@ -181,6 +181,54 @@ let test_explorer_collision_check () =
   Alcotest.(check bool) "revisits actually checked" true
     (stats.Explore.dedup_hits > 0)
 
+let test_valid_step_successors () =
+  (* Valid-step mode pins each sender to its smallest unserved live
+     neighbor: one step per sender where the full mode branches on every
+     pending delivery, over a smaller space with the same clean verdict. *)
+  let system successors =
+    Explore.system
+      { Explore.default with successors }
+      Consensus.Two_phase.algorithm
+      ~topology:(Amac.Topology.clique 3) ~inputs:[| 0; 1; 1 |]
+  in
+  let first_steps successors =
+    let sys = system successors in
+    List.map (Format.asprintf "%a" Explore.pp_step)
+      (Explore.enabled sys (Explore.initial sys))
+  in
+  Alcotest.(check (list string)) "one valid step per sender"
+    [ "deliver(0->1)"; "deliver(1->0)"; "deliver(2->0)" ]
+    (first_steps `Valid_step);
+  Alcotest.(check int) "every pending delivery" 6
+    (List.length (first_steps `All));
+  let run successors ~max_states =
+    Explore.explore
+      { Explore.default with successors; max_states; check_termination = true }
+      Consensus.Two_phase.algorithm
+      ~topology:(Amac.Topology.clique 3) ~inputs:[| 0; 1; 1 |]
+  in
+  let valid = run `Valid_step ~max_states:Explore.default.max_states in
+  Alcotest.(check bool) "valid steps exhausted" false valid.Explore.truncated;
+  Alcotest.(check int) "valid steps clean" 0
+    (List.length valid.Explore.violations);
+  Alcotest.(check bool) "every delivery order overflows that budget" true
+    (run `All ~max_states:valid.Explore.states).Explore.truncated
+
+let test_termination_check_under_crashes () =
+  (* Quiescence sets crash steps aside, so under a crash budget the
+     termination check reports the configurations a crash blocks. *)
+  let stats =
+    Explore.explore
+      { Explore.default with crash_budget = 1; check_termination = true }
+      Consensus.Two_phase.algorithm
+      ~topology:(Amac.Topology.clique 2) ~inputs:[| 0; 1 |]
+  in
+  match stats.Explore.violations with
+  | (Consensus.Checker.Termination_violation _, schedule) :: _ ->
+      Alcotest.(check bool) "the schedule crashes a node" true
+        (List.exists (function Explore.Crash _ -> true | _ -> false) schedule)
+  | _ -> Alcotest.fail "expected a crash-blocked termination violation"
+
 let () =
   Alcotest.run "mcheck"
     [
@@ -213,5 +261,9 @@ let () =
             test_explorer_keying_equivalence;
           Alcotest.test_case "collision check finds none" `Quick
             test_explorer_collision_check;
+          Alcotest.test_case "valid-step successors" `Quick
+            test_valid_step_successors;
+          Alcotest.test_case "termination check under crashes" `Quick
+            test_termination_check_under_crashes;
         ] );
     ]
