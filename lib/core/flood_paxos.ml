@@ -375,9 +375,7 @@ let on_receive _ctx st (components : msg) =
     | Unit _ -> 3
     | Decision _ -> 4
   in
-  let ordered =
-    List.sort (fun a b -> Int.compare (rank a) (rank b)) components
-  in
+  let ordered = by_rank rank components in
   List.iter
     (fun component ->
       match component with

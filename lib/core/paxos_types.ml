@@ -100,3 +100,12 @@ let response_ids r =
   3
   + (match r.best_prior with None -> 0 | Some _ -> 1)
   + match r.committed with None -> 0 | Some _ -> 1
+
+let rec in_rank_order rank = function
+  | a :: (b :: _ as rest) -> rank a <= rank b && in_rank_order rank rest
+  | [] | [ _ ] -> true
+
+let by_rank rank components =
+  if in_rank_order rank components then components
+  else
+    List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) components

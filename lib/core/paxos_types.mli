@@ -82,3 +82,9 @@ val pp_response : response -> string
 val proposer_msg_ids : proposer_msg -> int
 
 val response_ids : response -> int
+
+(** [by_rank rank components] orders one broadcast's components by their
+    service [rank], stably. A list already in rank order (wPAXOS and
+    flood-PAXOS compose every broadcast that way) is returned as is after
+    one pass that allocates nothing; any other list is stable-sorted. *)
+val by_rank : ('a -> int) -> 'a list -> 'a list

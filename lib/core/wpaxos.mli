@@ -11,7 +11,7 @@
     - {b tree building}: Bellman–Ford iterative refinement maintaining, for
       every potential root, a shortest-path tree — with the current leader's
       search messages prioritised so the leader's tree completes soon after
-      the election stabilises.
+      the election stabilises. Its state is a {!Tree}.
     - {b change}: notifies proposers when to generate a fresh proposal
       number; guarantees the eventual leader proposes {e after} the other
       services stabilise, but only Θ(1) more times.

@@ -7,11 +7,12 @@
 
     - The {e shared services} — leader election Ω (max unsuspected id over
       heartbeats), the change service (Lamport-stamped change flooding), the
-      tree-building service (parent pointers for response aggregation) and
-      the broadcast service (one component per queue per message) — are
-      carried over from [Consensus.Wpaxos], including its PR 2 hardening
-      (ack-clocked heartbeats with a patience budget, leader suspicion via
-      the shared {!Fd} ◇P detector, exponential-backoff retransmission).
+      tree-building service ([Consensus.Tree]: parent pointers for response
+      aggregation) and the broadcast service (one component per queue per
+      message) — are carried over from [Consensus.Wpaxos], including its
+      fault hardening (ack-clocked heartbeats with a patience budget, leader
+      suspicion via the shared {!Fd} ◇P detector, exponential-backoff
+      retransmission).
     - {e Leader lease}: one [Prepare] with a fresh proposal number covers
       {e every} instance at or above the leader's commit index; acceptors
       keep a single lease-wide promise and return their accepted priors per

@@ -137,6 +137,20 @@ let test_id_accounting () =
     (P.response_ids
        (response ~prior:{ P.pno = pno 1 2; value = 0 } ~committed:(pno 2 2) ()))
 
+(* [by_rank] is a stable sort by rank that hands an already-ordered list
+   back untouched. Elements are (rank, tag) pairs, so stability shows. *)
+let prop_by_rank_is_stable_sort =
+  QCheck.Test.make ~name:"by_rank = stable sort, identity when ordered"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 8) (pair (int_range 0 5) small_nat))
+    (fun components ->
+      let rank (r, _) = r in
+      let ordered = P.by_rank rank components in
+      let expected =
+        List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) components
+      in
+      ordered = expected && (ordered <> components || ordered == components))
+
 let () =
   Alcotest.run "paxos_types"
     [
@@ -161,5 +175,6 @@ let () =
         [
           Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
           Alcotest.test_case "id accounting" `Quick test_id_accounting;
+          QCheck_alcotest.to_alcotest prop_by_rank_is_stable_sort;
         ] );
     ]
