@@ -54,23 +54,30 @@ let latest_decision outcome =
    tick land before any ack of that tick (the model requires every neighbor
    to receive before the sender's ack).
 
-   [Receive] and [Ack] are stamped with the incarnation of the nodes they
-   concern at scheduling time: a recovery invalidates everything in flight
-   to or from the previous incarnation, so stale events are recognised and
-   dropped when popped. *)
+   One [Receive] entry stands for a *delivery group*: a maximal run of equal
+   delivery times in one broadcast's plan. [rest] is a cursor into the
+   scheduler's own plan list (never a copy): its head is the next delivery,
+   and the group ends where the time changes. [step] delivers one receiver
+   per call and advances the cursor, so the entry leaves the queue only
+   after its last delivery. All groups of a broadcast share one [bcast].
+
+   A recovery invalidates everything in flight to or from the previous
+   incarnation, so stale events are recognised and dropped when popped:
+   [Ack] carries the sender's incarnation, and a [bcast] carries [stamp],
+   the number of events processed when it was sent, which [step] compares
+   with each endpoint's [recovered_at]. *)
+type 'm bcast = {
+  sender : int;
+  stamp : int;
+  msg : 'm;
+  influence : Bitset.t option;
+  cause : int;  (* provenance vertex id of the broadcast; -1 when tracking is off *)
+}
+
 type 'm event =
   | Crash of { node : int }
   | Recover of { node : int }
-  | Receive of {
-      node : int;
-      receiver_inc : int;
-      sender : int;
-      sender_inc : int;
-      msg : 'm;
-      influence : Bitset.t option;
-      cause : int;
-          (* provenance vertex id of the broadcast; -1 when tracking is off *)
-    }
+  | Receive of { b : 'm bcast; mutable rest : (int * int) list }
   | Ack of { node : int; inc : int; cause : int }
   | Inject of { node : int; payload : int }
       (* external input (a client submit) handed to [on_inject]; carries no
@@ -227,6 +234,10 @@ type ('s, 'm) sim = {
   crashed : bool array;
   crash_time : int array;
   incarnation : int array;
+  recovered_at : int array;
+      (* per node, [events_processed] at its latest recovery (0 before
+         any): a broadcast stamped earlier than this is stale for the node,
+         exactly when its incarnation has changed since the send *)
   busy : bool array;
   busy_since : int array;  (* broadcast start time while busy; for ack latency *)
   plan_scratch : bool array;
@@ -263,6 +274,10 @@ type ('s, 'm) sim = {
   mutable injected : int;
   mutable topo_changes : int;
   mutable events_processed : int;
+  mutable pending : int;
+      (* queued events, counting every delivery a [Receive] group has left:
+         what the depth gauge reports, independent of how deliveries are
+         grouped into queue entries *)
   mutable end_time : int;
   mutable hit_max_time : bool;
   mutable trace : Trace.entry list;  (* newest first *)
@@ -307,6 +322,53 @@ let end_transmission sim node =
       (fun w -> sim.air_neighbors.(w) <- sim.air_neighbors.(w) - 1)
       (Topology.neighbors sim.topology node)
   end
+
+(* One planned delivery to [receiver] on an unreliable edge: the receiver
+   must be a marked candidate (see [do_broadcast]). *)
+let check_candidate sim receiver =
+  if
+    receiver < 0
+    || receiver >= Array.length sim.plan_scratch
+    || not sim.plan_scratch.(receiver)
+  then invalid_arg "Engine.run: unreliable delivery to a non-candidate"
+
+let count_unreliable sim =
+  sim.unreliable_deliveries <- sim.unreliable_deliveries + 1;
+  obs_counter sim (fun i -> i.unreliable_total)
+
+(* Queue [cells], a list of planned (receiver, time) deliveries of [b], as
+   one [Receive] entry per delivery group, each keyed at its time plus
+   [shift] (the contention stretch). Every delivery time is checked against
+   the window (now, ack_at]; a group's members share its head's time, so
+   checking the head checks them all. With [unreliable], each receiver is
+   checked as a candidate and counted, in list order. *)
+let rec queue_groups sim ~now ~ack_at ~shift ~unreliable b cells =
+  match cells with
+  | [] -> ()
+  | (receiver, t) :: rest ->
+      if unreliable then check_candidate sim receiver;
+      let time = t + shift in
+      if time <= now || time > ack_at then
+        invalid_arg
+          (Printf.sprintf
+             "Engine.run: delivery time %d outside (broadcast %d, ack %d]" time
+             now ack_at);
+      let group = Receive { b; rest = cells } in
+      Pqueue.add sim.queue ~key:(key_of ~time group) group;
+      if unreliable then count_unreliable sim;
+      queue_groups sim ~now ~ack_at ~shift ~unreliable b
+        (group_tail sim ~unreliable t rest)
+
+(* Skip the rest of the group whose time is [t]. *)
+and group_tail sim ~unreliable t cells =
+  match cells with
+  | (receiver, t') :: rest when t' = t ->
+      if unreliable then begin
+        check_candidate sim receiver;
+        count_unreliable sim
+      end;
+      group_tail sim ~unreliable t rest
+  | _ -> cells
 
 let do_broadcast ~now sim sender msg =
   if sim.busy.(sender) then begin
@@ -368,7 +430,9 @@ let do_broadcast ~now sim sender msg =
     let plan = sim.scheduler.Scheduler.plan ~now ~sender ~neighbors in
     (* Assert the scheduler respects the MAC layer contract. The base plan
        is checked against F_ack *before* any contention stretch: in
-       interference mode the effective bound is F_ack + stretch. *)
+       interference mode the effective bound is F_ack + stretch, and the
+       stretch is added to each queue key rather than to a copy of the
+       plan. *)
     if plan.Scheduler.ack_at > now + sim.scheduler.Scheduler.fack then
       invalid_arg
         (Printf.sprintf
@@ -378,15 +442,7 @@ let do_broadcast ~now sim sender msg =
            sim.scheduler.Scheduler.fack);
     if plan.Scheduler.ack_at <= now then
       invalid_arg "Engine.run: ack must be strictly after the broadcast";
-    let plan =
-      if stretch = 0 then plan
-      else
-        {
-          Scheduler.receives =
-            List.map (fun (v, t) -> (v, t + stretch)) plan.Scheduler.receives;
-          ack_at = plan.Scheduler.ack_at + stretch;
-        }
-    in
+    let ack_at = plan.Scheduler.ack_at + stretch in
     (* Set-equality check against the neighbor set over the preallocated
        scratch marks: mark every neighbor, consume one mark per planned
        delivery. Duplicates and non-neighbors hit an unmarked slot, a
@@ -423,27 +479,12 @@ let do_broadcast ~now sim sender msg =
       | Some c -> Some (Causal.snapshot c sender)
       | None -> None
     in
-    let deliver (receiver, time) =
-      if time <= now || time > plan.Scheduler.ack_at then
-        invalid_arg
-          (Printf.sprintf
-             "Engine.run: delivery time %d outside (broadcast %d, ack %d]"
-             time now plan.Scheduler.ack_at);
-      let event =
-        Receive
-          {
-            node = receiver;
-            receiver_inc = sim.incarnation.(receiver);
-            sender;
-            sender_inc = sim.incarnation.(sender);
-            msg;
-            influence;
-            cause = bid;
-          }
-      in
-      Pqueue.add sim.queue ~key:(key_of ~time event) event
+    let b =
+      { sender; stamp = sim.events_processed; msg; influence; cause = bid }
     in
-    List.iter deliver plan.Scheduler.receives;
+    queue_groups sim ~now ~ack_at ~shift:stretch ~unreliable:false b
+      plan.Scheduler.receives;
+    sim.pending <- sim.pending + consumed;
     (* Unreliable edges: the scheduler may additionally deliver to any
        subset of the sender's unreliable neighbors, at any time within
        the broadcast window. These deliveries never gate the ack. *)
@@ -451,38 +492,24 @@ let do_broadcast ~now sim sender msg =
     | Some extra, Some unreliable_plan ->
         let candidates = Topology.neighbors extra sender in
         if candidates <> [] then begin
-          let chosen =
-            unreliable_plan ~now ~sender ~candidates
-              ~ack_at:plan.Scheduler.ack_at
-          in
+          let chosen = unreliable_plan ~now ~sender ~candidates ~ack_at in
           (* Candidate membership via the scratch marks (marks are not
              consumed: the plan may legitimately deliver twice to one
              candidate), so validating the chosen list is O(candidates +
              chosen) instead of the quadratic List.mem scan the 1000-node
              allocation audit flagged. *)
           List.iter (fun v -> sim.plan_scratch.(v) <- true) candidates;
-          (try
-             List.iter
-               (fun (receiver, time) ->
-                 if
-                   receiver < 0
-                   || receiver >= Array.length sim.plan_scratch
-                   || not sim.plan_scratch.(receiver)
-                 then
-                   invalid_arg
-                     "Engine.run: unreliable delivery to a non-candidate";
-                 deliver (receiver, time);
-                 sim.unreliable_deliveries <- sim.unreliable_deliveries + 1;
-                 obs_counter sim (fun i -> i.unreliable_total))
-               chosen
+          (try queue_groups sim ~now ~ack_at ~shift:0 ~unreliable:true b chosen
            with e ->
              List.iter (fun v -> sim.plan_scratch.(v) <- false) candidates;
              raise e);
-          List.iter (fun v -> sim.plan_scratch.(v) <- false) candidates
+          List.iter (fun v -> sim.plan_scratch.(v) <- false) candidates;
+          sim.pending <- sim.pending + List.length chosen
         end
     | None, _ | _, None -> ());
     let ack = Ack { node = sender; inc = sim.incarnation.(sender); cause = bid } in
-    Pqueue.add sim.queue ~key:(key_of ~time:plan.Scheduler.ack_at ack) ack
+    Pqueue.add sim.queue ~key:(key_of ~time:ack_at ack) ack;
+    sim.pending <- sim.pending + 1
   end
 
 let handle_decide ~now sim node value =
@@ -707,6 +734,7 @@ let create ?identities ?(give_n = true) ?(give_diameter = false)
       crashed = Array.make n false;
       crash_time = Array.make n max_int;
       incarnation = Array.make n 0;
+      recovered_at = Array.make n 0;
       busy = Array.make n false;
       busy_since = Array.make n 0;
       plan_scratch = Array.make n false;
@@ -743,6 +771,7 @@ let create ?identities ?(give_n = true) ?(give_diameter = false)
       injected = 0;
       topo_changes = 0;
       events_processed = 0;
+      pending = Pqueue.length queue;
       end_time = 0;
       hit_max_time = false;
       trace = [];
@@ -767,6 +796,80 @@ let create ?identities ?(give_n = true) ?(give_diameter = false)
   in
   { sim with states }
 
+(* Hand [msg'] from broadcast [b] to [node]: the broadcast's own payload,
+   or what the adversary substituted for it. *)
+let deliver ~now sim b node msg' =
+  let { sender; cause; _ } = b in
+  if not (msg' == b.msg) then begin
+    sim.substituted <- sim.substituted + 1;
+    if sim.record_trace then
+      log sim
+        (Trace.Substituted
+           { time = now; node; sender; msg = sim.render_msg msg' })
+  end;
+  sim.deliveries <- sim.deliveries + 1;
+  obs_counter sim (fun i -> i.deliveries_total);
+  (match (sim.causal, b.influence) with
+  | Some c, Some inf -> Causal.absorb c ~node ~time:now inf
+  | Some _, None | None, _ -> ());
+  (* The Deliver vertex is caused by the broadcast that put it on the wire,
+     and becomes the receiver's latest informational event. The trace entry
+     carries the *broadcast's* vertex id: what caused this delivery. *)
+  (if sim.prov <> None then
+     let did =
+       prov_record sim ~kind:(Obs.Provenance.Deliver { sender }) ~node
+         ~time:now ~cause
+     in
+     sim.last_info.(node) <- did);
+  if sim.record_trace then
+    log sim
+      (Trace.Delivered
+         { time = now; node; sender; msg = sim.render_msg msg'; cause });
+  let actions =
+    sim.algorithm.on_receive sim.ctxs.(node) sim.states.(node) msg'
+  in
+  apply_actions_faulted ~now sim node actions
+
+(* One delivery of broadcast [b] to [node], unless a crash, a recovery, a
+   link fault or the adversary stops it. *)
+let receive ~now sim b node =
+  let sender = b.sender in
+  if sim.crashed.(node) || sim.recovered_at.(node) > b.stamp then begin
+    sim.dropped <- sim.dropped + 1;
+    obs_counter sim (fun i -> i.drops_stale)
+  end
+  else if sim.crash_time.(sender) <= now || sim.recovered_at.(sender) > b.stamp
+  then begin
+    (* The sender crashed mid-broadcast before this delivery (or has since
+       restarted as a new incarnation). *)
+    sim.dropped <- sim.dropped + 1;
+    obs_counter sim (fun i -> i.drops_stale)
+  end
+  else if
+    match sim.drop with
+    | Some f -> f ~now ~sender ~receiver:node
+    | None -> false
+  then begin
+    sim.link_dropped <- sim.link_dropped + 1;
+    obs_counter sim (fun i -> i.drops_link);
+    log sim (Trace.Link_dropped { time = now; node; sender })
+  end
+  else
+    (* Adversary hook: a Byzantine sender's payload may differ per recipient
+       ([Some msg'], equivocation/forgery — physical inequality is what
+       counts as tampering, so an identity substitution stays invisible) or
+       never arrive at all ([None], selective silence). Honest traffic
+       passes through untouched. The sender's ack is never affected: the
+       MAC layer kept its contract; the *transmitter* lied. *)
+    match sim.substitute with
+    | None -> deliver ~now sim b node b.msg
+    | Some f -> (
+        match f ~now ~sender ~receiver:node b.msg with
+        | None ->
+            sim.suppressed <- sim.suppressed + 1;
+            log sim (Trace.Suppressed { time = now; node; sender })
+        | Some msg' -> deliver ~now sim b node msg')
+
 let step sim =
   if sim.stopped then `Done
   else if Pqueue.is_empty sim.queue then begin
@@ -776,11 +879,9 @@ let step sim =
   else begin
     (match sim.obs with
     | Some i ->
-        Obs.Metrics.observe_max i.pqueue_depth_max
-          (float_of_int (Pqueue.length sim.queue))
+        Obs.Metrics.observe_max i.pqueue_depth_max (float_of_int sim.pending)
     | None -> ());
-    let key, event = Pqueue.pop sim.queue in
-    let now = time_of_key key in
+    let now = time_of_key (Pqueue.top_key sim.queue) in
     if now > sim.max_time then begin
       sim.hit_max_time <- true;
       sim.stopped <- true;
@@ -788,12 +889,20 @@ let step sim =
     end
     else begin
       sim.events_processed <- sim.events_processed + 1;
+      sim.pending <- sim.pending - 1;
       obs_counter sim (fun i -> i.events_total);
       sim.end_time <- now;
       (match sim.clock with Some r -> r := now | None -> ());
       (match sim.obs with
       | Some i -> Obs.Metrics.set i.end_time_gauge (float_of_int now)
       | None -> ());
+      (* A delivery group leaves the queue with its last delivery (the
+         [Receive] case); every other event leaves it now. *)
+      let event = Pqueue.top_value sim.queue in
+      (match event with
+      | Receive _ -> ()
+      | Crash _ | Recover _ | Ack _ | Inject _ | Topo _ ->
+          ignore (Pqueue.pop_value sim.queue));
       (match event with
       | Crash { node } ->
           if not sim.crashed.(node) then begin
@@ -816,6 +925,7 @@ let step sim =
             sim.crashed.(node) <- false;
             sim.crash_time.(node) <- max_int;
             sim.incarnation.(node) <- sim.incarnation.(node) + 1;
+            sim.recovered_at.(node) <- sim.events_processed;
             sim.busy.(node) <- false;
             if sim.decisions.(node) = None then
               sim.live_undecided <- sim.live_undecided + 1;
@@ -833,92 +943,14 @@ let step sim =
             sim.states.(node) <- state;
             apply_actions_faulted ~now sim node actions
           end
-      | Receive { node; receiver_inc; sender; sender_inc; msg; influence; cause }
-        ->
-          if sim.crashed.(node) || receiver_inc <> sim.incarnation.(node) then begin
-            sim.dropped <- sim.dropped + 1;
-            obs_counter sim (fun i -> i.drops_stale)
-          end
-          else if
-            sim.crash_time.(sender) <= now
-            || sender_inc <> sim.incarnation.(sender)
-          then begin
-            (* The sender crashed mid-broadcast before this delivery (or
-               has since restarted as a new incarnation). *)
-            sim.dropped <- sim.dropped + 1;
-            obs_counter sim (fun i -> i.drops_stale)
-          end
-          else if
-            match sim.drop with
-            | Some f -> f ~now ~sender ~receiver:node
-            | None -> false
-          then begin
-            sim.link_dropped <- sim.link_dropped + 1;
-            obs_counter sim (fun i -> i.drops_link);
-            log sim (Trace.Link_dropped { time = now; node; sender })
-          end
-          else begin
-            (* Adversary hook: a Byzantine sender's payload may differ per
-               recipient ([Some msg'], equivocation/forgery — physical
-               inequality is what counts as tampering, so an identity
-               substitution stays invisible) or never arrive at all ([None],
-               selective silence). Honest traffic passes through untouched.
-               The sender's ack is never affected: the MAC layer kept its
-               contract; the *transmitter* lied. *)
-            let delivered =
-              match sim.substitute with
-              | None -> Some msg
-              | Some f -> f ~now ~sender ~receiver:node msg
-            in
-            match delivered with
-            | None ->
-                sim.suppressed <- sim.suppressed + 1;
-                log sim (Trace.Suppressed { time = now; node; sender })
-            | Some msg' ->
-                if not (msg' == msg) then begin
-                  sim.substituted <- sim.substituted + 1;
-                  if sim.record_trace then
-                    log sim
-                      (Trace.Substituted
-                         {
-                           time = now;
-                           node;
-                           sender;
-                           msg = sim.render_msg msg';
-                         })
-                end;
-                sim.deliveries <- sim.deliveries + 1;
-                obs_counter sim (fun i -> i.deliveries_total);
-                (match (sim.causal, influence) with
-                | Some c, Some inf -> Causal.absorb c ~node ~time:now inf
-                | Some _, None | None, _ -> ());
-                (* The Deliver vertex is caused by the broadcast that put it
-                   on the wire, and becomes the receiver's latest
-                   informational event. The trace entry carries the
-                   *broadcast's* vertex id: what caused this delivery. *)
-                (if sim.prov <> None then
-                   let did =
-                     prov_record sim
-                       ~kind:(Obs.Provenance.Deliver { sender })
-                       ~node ~time:now ~cause
-                   in
-                   sim.last_info.(node) <- did);
-                if sim.record_trace then
-                  log sim
-                    (Trace.Delivered
-                       {
-                         time = now;
-                         node;
-                         sender;
-                         msg = sim.render_msg msg';
-                         cause;
-                       });
-                let actions =
-                  sim.algorithm.on_receive sim.ctxs.(node) sim.states.(node)
-                    msg'
-                in
-                apply_actions_faulted ~now sim node actions
-          end
+      | Receive group ->
+          let node, time = List.hd group.rest in
+          (* Everything this delivery triggers is queued at a later time,
+             so a group with deliveries left keeps the head of the queue. *)
+          (match List.tl group.rest with
+          | (_, t) :: _ as more when t = time -> group.rest <- more
+          | _ -> ignore (Pqueue.pop_value sim.queue));
+          receive ~now sim group.b node
       | Ack { node; inc; cause } ->
           if (not sim.crashed.(node)) && inc = sim.incarnation.(node) then begin
             end_transmission sim node;

@@ -52,6 +52,20 @@
     - Simultaneous events are processed deterministically: crashes, then
       recoveries, then deliveries, then acks; FIFO within a class.
 
+    {b Event representation.} The queue is a {!Pqueue} keyed by (time,
+    kind) with FIFO ties. A broadcast's deliveries are not queued one by
+    one: each {e delivery group} — a maximal run of equal delivery times in
+    the scheduler's plan — is one queue entry holding a cursor into the
+    plan list, with the sender, message, influence and provenance cause
+    shared by all groups of the broadcast. A broadcast's entries take
+    consecutive sequence numbers and nothing queued later can precede a
+    group, so a group leaves the head of the queue only after its last
+    delivery, and every run processes exactly the events, in exactly the
+    order, that one entry per delivery would. The contention stretch is
+    added to the queue keys, not to a copy of the plan. Stale deliveries
+    are recognised by the number of events processed when the broadcast
+    was sent, compared with each endpoint's latest recovery.
+
     The engine never interprets messages; it moves them. Consensus-specific
     checking lives in [Consensus.Checker]. *)
 
@@ -148,7 +162,9 @@ val create :
   inputs:int array ->
   ('s, 'm) sim
 
-(** [step sim] processes the next event. [`Stepped] = one event processed
+(** [step sim] processes the next event — one delivery, never a whole
+    delivery group, so [events_processed] counts deliveries as before.
+    [`Stepped] = one event processed
     (the simulation may or may not have more); [`Done] = nothing left to do
     (queue drained, or every live node decided under
     [stop_when_all_decided]); [`Capped] = the next event lay beyond
@@ -247,7 +263,10 @@ val snapshot : ('s, 'm) sim -> outcome
     @param obs a metrics registry the run instruments itself into: event,
       delivery, ack, drop (labelled by reason: [stale] vs [link]), discard,
       stutter, crash, recovery and unreliable-delivery counters; per-node
-      broadcast counters; the event-queue depth high-water mark; and
+      broadcast counters; the event-queue depth high-water mark
+      ([engine_pqueue_depth_max], counting pending {e events}: every
+      delivery a queued group still holds counts, so the gauge does not
+      depend on how deliveries are grouped into queue entries); and
       ack-latency and decide-latency histograms — the latter two both as a
       global aggregate and per node (a [node] label), so leader and
       follower latency distributions separate. All instruments carry

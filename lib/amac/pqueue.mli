@@ -3,7 +3,13 @@
     Used by {!Engine} as its event queue. Entries with equal keys are returned
     in insertion order (the heap stores a monotonically increasing sequence
     number alongside each key), which makes simulation runs fully
-    deterministic. *)
+    deterministic.
+
+    Keys, sequence numbers and values live in three parallel arrays, so no
+    entry is boxed: {!add} allocates only when the arrays double, and
+    {!top_key}, {!top_value} and {!pop_value} allocate nothing. The engine
+    uses only those tuple-free accessors; {!pop} and {!peek} return a
+    fresh pair per call. *)
 
 type 'a t
 
@@ -23,6 +29,18 @@ val add : 'a t -> key:int -> 'a -> unit
     insertion order. @raise Not_found if the queue is empty. *)
 val pop : 'a t -> int * 'a
 
+(** [pop_value q] is [snd (pop q)] without the pair.
+    @raise Not_found if the queue is empty. *)
+val pop_value : 'a t -> 'a
+
+(** [top_key q] is the key {!pop} would return next.
+    @raise Not_found if the queue is empty. *)
+val top_key : 'a t -> int
+
+(** [top_value q] is the value {!pop} would return next, left in place.
+    @raise Not_found if the queue is empty. *)
+val top_value : 'a t -> 'a
+
 (** [peek q] is the minimum-key entry without removing it.
     @raise Not_found if the queue is empty. *)
 val peek : 'a t -> int * 'a
@@ -32,7 +50,7 @@ val clear : 'a t -> unit
 
 (** [ensure_capacity q n ~dummy] grows the backing array to hold at least
     [n] entries without further allocation. [dummy] fills the unused slots
-    and is never returned by {!pop}/{!peek}. Together with {!clear} this is
+    and is never returned by {!pop}/{!peek}/{!pop_value}/{!top_value}. Together with {!clear} this is
     the reuse path for pooled queues (e.g. the sharded transport's
     per-group outboxes): clear + ensure_capacity instead of reallocating a
     fresh queue per group or per incarnation. *)

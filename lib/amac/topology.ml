@@ -209,23 +209,32 @@ let has_edge t u v = List.mem v t.adj.(u)
 
 let num_edges t = List.length (edges t)
 
+(* Label the unlabelled nodes of [vs] at distance [d] and append them to
+   [queue] from index [tail]; the new tail. *)
+let rec relax dist queue tail d = function
+  | [] -> tail
+  | v :: rest ->
+      if dist.(v) = max_int then begin
+        dist.(v) <- d;
+        queue.(tail) <- v;
+        relax dist queue (tail + 1) d rest
+      end
+      else relax dist queue tail d rest
+
 let bfs_dist t source =
   let n = size t in
   let dist = Array.make n max_int in
-  let queue = Queue.create () in
+  (* Every node enters the FIFO at most once, so an n-slot array holds
+     it. *)
+  let queue = Array.make n source in
   dist.(source) <- 0;
-  Queue.add source queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    let du = dist.(u) in
-    let visit v =
-      if dist.(v) = max_int then begin
-        dist.(v) <- du + 1;
-        Queue.add v queue
-      end
-    in
-    List.iter visit t.adj.(u)
-  done;
+  let rec drain head tail =
+    if head < tail then begin
+      let u = queue.(head) in
+      drain (head + 1) (relax dist queue tail (dist.(u) + 1) t.adj.(u))
+    end
+  in
+  drain 0 1;
   dist
 
 let is_connected t =

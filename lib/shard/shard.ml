@@ -135,7 +135,7 @@ let drain st =
            onto the (descending-group) bundle restores FIFO in place. *)
         let entries = ref [] in
         while not (Amac.Pqueue.is_empty q) do
-          let _, m = Amac.Pqueue.pop q in
+          let m = Amac.Pqueue.pop_value q in
           entries := m :: !entries
         done;
         List.iter (fun m -> bundle := (i, m) :: !bundle) !entries

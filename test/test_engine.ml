@@ -431,6 +431,132 @@ let prop_once_decides_at_ack_time =
       List.for_all (fun t -> t >= 1 && t <= fack)
         (Amac.Engine.decision_times outcome))
 
+
+(* Delivery order pins. The engine queues a broadcast's deliveries as one
+   entry per run of equal delivery times; these cases pin what that must
+   preserve, with values measured on the one-entry-per-delivery engine. *)
+
+(* Every sender's plan interleaves two ticks: its first and third neighbor
+   hear it at [now + 1], the second at [now + 2], where the ack lands. *)
+let interleaved =
+  Amac.Scheduler.make ~name:"interleaved" ~fack:2
+    (fun ~now ~sender:_ ~neighbors ->
+      match neighbors with
+      | [ a; b; c ] ->
+          {
+            Amac.Scheduler.receives = [ (a, now + 1); (b, now + 2); (c, now + 1) ];
+            ack_at = now + 2;
+          }
+      | _ -> invalid_arg "interleaved: degree 3 only")
+
+let render_trace entries =
+  List.map (Format.asprintf "%a" Amac.Trace.pp_entry) entries
+
+let test_interleaved_plan_order () =
+  (* All four nodes broadcast at time 0, so four broadcasts land on ticks
+     1 and 2 together. *)
+  let outcome =
+    run once ~topology:(Amac.Topology.clique 4) ~scheduler:interleaved
+      ~record_trace:true ~inputs:[| 0; 0; 0; 0 |]
+  in
+  Alcotest.(check (list string))
+    "full trace order"
+    [
+      "[t=   0] node 0 broadcast (0 ids): <msg>";
+      "[t=   0] node 1 broadcast (0 ids): <msg>";
+      "[t=   0] node 2 broadcast (0 ids): <msg>";
+      "[t=   0] node 3 broadcast (0 ids): <msg>";
+      "[t=   1] node 1 received from 0: <msg>";
+      "[t=   1] node 3 received from 0: <msg>";
+      "[t=   1] node 0 received from 1: <msg>";
+      "[t=   1] node 3 received from 1: <msg>";
+      "[t=   1] node 0 received from 2: <msg>";
+      "[t=   1] node 3 received from 2: <msg>";
+      "[t=   1] node 0 received from 3: <msg>";
+      "[t=   1] node 2 received from 3: <msg>";
+      "[t=   2] node 2 received from 0: <msg>";
+      "[t=   2] node 2 received from 1: <msg>";
+      "[t=   2] node 1 received from 2: <msg>";
+      "[t=   2] node 1 received from 3: <msg>";
+      "[t=   2] node 0 acked";
+      "[t=   2] node 0 DECIDED 0";
+      "[t=   2] node 1 acked";
+      "[t=   2] node 1 DECIDED 0";
+      "[t=   2] node 2 acked";
+      "[t=   2] node 2 DECIDED 0";
+      "[t=   2] node 3 acked";
+      "[t=   2] node 3 DECIDED 0";
+    ]
+    (render_trace outcome.trace)
+
+let test_receiver_recovers_before_delivery () =
+  (* Node 0 broadcasts at 0 with every delivery at 5. Node 1 crashes at 1
+     and recovers at 3, so node 0's delivery to it is stale while the one
+     to node 2 (same delivery group) lands; node 1's own pre-crash
+     broadcast is stale at both receivers. *)
+  let late =
+    Amac.Scheduler.make ~name:"late" ~fack:5 (fun ~now ~sender:_ ~neighbors ->
+        {
+          Amac.Scheduler.receives = List.map (fun v -> (v, now + 5)) neighbors;
+          ack_at = now + 5;
+        })
+  in
+  let outcome =
+    Amac.Engine.run once ~topology:clique3 ~scheduler:late
+      ~crashes:[ (1, 1) ] ~recoveries:[ (1, 3) ] ~stop_when_all_decided:false
+      ~inputs:[| 0; 0; 0 |]
+  in
+  Alcotest.(check (list int))
+    "dropped, deliveries, events, end_time" [ 4; 4; 14; 8 ]
+    [
+      outcome.dropped;
+      outcome.deliveries;
+      outcome.events_processed;
+      outcome.end_time;
+    ]
+
+let test_stop_mid_group () =
+  (* Everyone decides on its first delivery: under [synchronous] on a
+     4-clique, nodes 1-3 decide on node 0's broadcast, and node 0 on the
+     first delivery of node 1's, which leaves two deliveries of that
+     broadcast unprocessed. *)
+  let outcome =
+    run (counter ~target:1) ~topology:(Amac.Topology.clique 4)
+      ~scheduler:Amac.Scheduler.synchronous ~inputs:[| 0; 0; 0; 0 |]
+  in
+  Alcotest.(check (list int))
+    "events, deliveries, end_time" [ 4; 4; 1 ]
+    [ outcome.events_processed; outcome.deliveries; outcome.end_time ]
+
+let test_max_time_between_groups () =
+  (* Capped at tick 1: the tick-1 deliveries of every interleaved plan
+     land, the tick-2 ones and the acks do not. *)
+  let outcome =
+    run once ~topology:(Amac.Topology.clique 4) ~scheduler:interleaved
+      ~max_time:1 ~inputs:[| 0; 0; 0; 0 |]
+  in
+  Alcotest.(check bool) "hit max time" true outcome.hit_max_time;
+  Alcotest.(check (list int))
+    "deliveries, events, end_time" [ 8; 8; 1 ]
+    [ outcome.deliveries; outcome.events_processed; outcome.end_time ]
+
+let test_depth_gauge_counts_deliveries () =
+  (* Five broadcasts at time 0 put 20 deliveries and 5 acks in flight at
+     once; the gauge reports pending events, however they are queued. *)
+  let reg = Obs.Metrics.create () in
+  ignore
+    (Amac.Engine.run once ~obs:reg ~topology:(Amac.Topology.clique 5)
+       ~scheduler:(Amac.Scheduler.fixed ~delay:2)
+       ~inputs:(Array.make 5 0));
+  match
+    Obs.Metrics.find (Obs.Metrics.snapshot reg)
+      ~labels:[ ("algorithm", "once"); ("scheduler", "fixed(2)") ]
+      "engine_pqueue_depth_max"
+  with
+  | Some { value = Obs.Metrics.Gauge depth; _ } ->
+      Alcotest.(check (float 0.)) "depth high-water mark" 25. depth
+  | Some _ | None -> Alcotest.fail "no depth gauge"
+
 let () =
   Alcotest.run "engine"
     [
@@ -465,6 +591,18 @@ let () =
             test_step_engine_matches_run;
           Alcotest.test_case "step engine midway snapshot" `Quick
             test_step_engine_midway_snapshot;
+        ] );
+      ( "delivery order",
+        [
+          Alcotest.test_case "interleaved plan times" `Quick
+            test_interleaved_plan_order;
+          Alcotest.test_case "receiver recovers before delivery" `Quick
+            test_receiver_recovers_before_delivery;
+          Alcotest.test_case "stop mid-group" `Quick test_stop_mid_group;
+          Alcotest.test_case "max_time between groups" `Quick
+            test_max_time_between_groups;
+          Alcotest.test_case "depth gauge counts deliveries" `Quick
+            test_depth_gauge_counts_deliveries;
         ] );
       ( "property",
         [

@@ -87,6 +87,143 @@ let prop_fifo =
       let popped = List.init (List.length values) (fun _ -> snd (Amac.Pqueue.pop q)) in
       popped = values)
 
+(* Model test: random interleavings of every operation, checked step by
+   step against a reference list sorted by (key, insertion sequence).
+   Values are unique ids, so a misplaced entry cannot hide behind an equal
+   key; [ensure_capacity]'s dummy is -1 and must never come back. *)
+type op =
+  | Add of int
+  | Pop
+  | Pop_value
+  | Top_key
+  | Top_value
+  | Peek
+  | Clear
+  | Ensure_capacity of int
+  | Of_list of int list
+
+let show_op = function
+  | Add k -> Printf.sprintf "Add %d" k
+  | Pop -> "Pop"
+  | Pop_value -> "Pop_value"
+  | Top_key -> "Top_key"
+  | Top_value -> "Top_value"
+  | Peek -> "Peek"
+  | Clear -> "Clear"
+  | Ensure_capacity n -> Printf.sprintf "Ensure_capacity %d" n
+  | Of_list ks ->
+      Printf.sprintf "Of_list [%s]" (String.concat ";" (List.map string_of_int ks))
+
+let key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-4) 4);
+        (2, int_range (-1000) 1000);
+        (1, return max_int);
+        (1, return min_int);
+      ])
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun k -> Add k) key_gen);
+        (3, return Pop);
+        (3, return Pop_value);
+        (2, return Top_key);
+        (2, return Top_value);
+        (1, return Peek);
+        (1, return Clear);
+        (1, map (fun n -> Ensure_capacity n) (int_range 0 64));
+        (1, map (fun ks -> Of_list ks) (list_size (int_range 0 12) key_gen));
+      ])
+
+(* The reference: (key, seq, value) kept sorted by (key, seq). *)
+let model_insert model ((k, s, _) as e) =
+  let rec go = function
+    | [] -> [ e ]
+    | ((k', s', _) as x) :: rest ->
+        if k < k' || (k = k' && s < s') then e :: x :: rest else x :: go rest
+  in
+  go model
+
+let run_model ops =
+  let q = ref (Amac.Pqueue.create ()) in
+  let model = ref [] and seq = ref 0 and next_value = ref 0 in
+  let fresh () =
+    let v = !next_value in
+    incr next_value;
+    v
+  in
+  let add_model k v =
+    model := model_insert !model (k, !seq, v);
+    incr seq
+  in
+  let head () = match !model with [] -> None | (k, _, v) :: _ -> Some (k, v) in
+  let drop_head () = match !model with [] -> () | _ :: rest -> model := rest in
+  let attempt f = try Some (f ()) with Not_found -> None in
+  let step op =
+    let result_ok =
+      match op with
+      | Add k ->
+          let v = fresh () in
+          Amac.Pqueue.add !q ~key:k v;
+          add_model k v;
+          true
+      | Pop ->
+          let e = head () in
+          drop_head ();
+          e = attempt (fun () -> Amac.Pqueue.pop !q)
+      | Pop_value ->
+          let e = Option.map snd (head ()) in
+          drop_head ();
+          e = attempt (fun () -> Amac.Pqueue.pop_value !q)
+      | Top_key ->
+          Option.map fst (head ()) = attempt (fun () -> Amac.Pqueue.top_key !q)
+      | Top_value ->
+          Option.map snd (head ()) = attempt (fun () -> Amac.Pqueue.top_value !q)
+      | Peek -> head () = attempt (fun () -> Amac.Pqueue.peek !q)
+      | Clear ->
+          Amac.Pqueue.clear !q;
+          model := [];
+          true
+      | Ensure_capacity n ->
+          Amac.Pqueue.ensure_capacity !q n ~dummy:(-1);
+          true
+      | Of_list ks ->
+          let entries = List.map (fun k -> (k, fresh ())) ks in
+          q := Amac.Pqueue.of_list entries;
+          model := [];
+          List.iter (fun (k, v) -> add_model k v) entries;
+          true
+    in
+    let contents =
+      List.sort compare (List.map (fun (k, _, v) -> (k, v)) !model)
+    in
+    result_ok
+    && Amac.Pqueue.length !q = List.length !model
+    && Amac.Pqueue.is_empty !q = (!model = [])
+    && List.sort compare (Amac.Pqueue.to_list !q) = contents
+  in
+  List.for_all step ops
+  &&
+  (* Drain what is left: the whole remaining order must match. *)
+  List.for_all
+    (fun (k, _, v) -> Amac.Pqueue.pop !q = (k, v))
+    !model
+  && Amac.Pqueue.is_empty !q
+
+let prop_model =
+  QCheck.Test.make ~name:"pqueue matches a sorted (key, seq) model"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 0 200) op_gen))
+    run_model
+
 let () =
   Alcotest.run "pqueue"
     [
@@ -105,5 +242,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_heap_sort;
           QCheck_alcotest.to_alcotest prop_fifo;
+          QCheck_alcotest.to_alcotest prop_model;
         ] );
     ]

@@ -141,6 +141,41 @@ let prop_bfs_triangle_inequality =
         (fun (u, v) -> abs (d0.(u) - d0.(v)) <= 1)
         (T.edges g))
 
+(* Property: BFS distances are exact. The reference relaxes every edge
+   until nothing changes (Bellman-Ford with unit weights); disjoint unions
+   cover unreachable nodes, which stay at max_int. *)
+let prop_bfs_exact =
+  QCheck.Test.make ~name:"bfs distances equal edge relaxation" ~count:200
+    QCheck.(triple small_int (int_range 1 20) (int_range 0 8))
+    (fun (seed, n, extra) ->
+      let rng = Amac.Rng.create seed in
+      let g =
+        T.disjoint_union
+          (T.random_connected rng ~n ~extra_edges:extra)
+          (T.line (1 + (seed mod 3)))
+      in
+      let size = T.size g in
+      let source = seed mod size in
+      let reference = Array.make size max_int in
+      reference.(source) <- 0;
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        List.iter
+          (fun (u, v) ->
+            let step a b =
+              if reference.(a) < max_int && reference.(a) + 1 < reference.(b)
+              then begin
+                reference.(b) <- reference.(a) + 1;
+                changed := true
+              end
+            in
+            step u v;
+            step v u)
+          (T.edges g)
+      done;
+      T.bfs_dist g source = reference)
+
 let () =
   Alcotest.run "topology"
     [
@@ -172,6 +207,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_random_connected;
           QCheck_alcotest.to_alcotest prop_grid_diameter;
+          QCheck_alcotest.to_alcotest prop_bfs_exact;
           QCheck_alcotest.to_alcotest prop_bfs_triangle_inequality;
         ] );
     ]
